@@ -55,6 +55,7 @@ from repro.core.execution import (
 from repro.core import flight
 from repro.core.resources import ResourceSampler
 from repro.core.shm import SharedArrayPool, shm_enabled
+from repro.kernels import numpy_backend as kernel_reference
 from repro.kernels import registry as kernel_registry
 from repro.core.telemetry import Telemetry, activate, get_active
 from repro.core.parameters import CompositeSpace, ParameterSpace
@@ -209,11 +210,14 @@ class FrontEndEvaluator:
         their qualified name stands in (correct only when the factory is
         stateless).
 
-        Kernel-backend policy: when dispatch is bit-identical to the
-        numpy reference (the reference itself, or an ``exact`` backend)
-        the fingerprint is backend-invariant, so cached evaluations are
-        shared freely across backends.  When a documented-tolerance
-        backend is active the fingerprint carries its
+        Kernel-backend policy: the digest carries the reference kernels'
+        :data:`~repro.kernels.numpy_backend.REVISION`, so a change to the
+        reference arithmetic invalidates every cached evaluation.  When
+        dispatch is bit-identical to the numpy reference (the reference
+        itself, or an ``exact`` backend) the fingerprint is
+        backend-invariant, so cached evaluations are shared freely
+        across backends.  When a documented-tolerance backend is active
+        the fingerprint carries its
         :meth:`~repro.kernels.KernelRegistry.cache_tag`, so its results
         can never be served to (or from) a run on a different backend.
         """
@@ -223,6 +227,9 @@ class FrontEndEvaluator:
         # Version-stamp the key: a model change that bumps the package
         # version invalidates cached evaluations.
         digest.update(f"repro={getattr(repro, '__version__', '?')}".encode())
+        # Exact backends reproduce the reference's numbers, so a revision
+        # of the reference arithmetic (even a round-off move) must miss too.
+        digest.update(f"kernels={kernel_reference.REVISION}".encode())
         digest.update(self.records.tobytes())
         digest.update(repr(self.records.shape).encode())
         if self.labels is not None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import registry
+from repro.kernels.numpy_backend import least_squares_on_support, lipschitz_constant
 from repro.util.validation import check_positive, check_positive_int
 
 _GET_ACTIVE_TELEMETRY = None
@@ -75,24 +76,6 @@ def _note_solve(method: str, iterations: int, frames: int, elapsed_s: float) -> 
     telemetry.observe(f"cs.{method}.solve_seconds", elapsed_s)
 
 
-def least_squares_on_support(
-    a: np.ndarray, y: np.ndarray, support: np.ndarray
-) -> np.ndarray:
-    """Solve ``min ||y - A[:, support] z||`` and embed into full length.
-
-    The standard debiasing step: after the support is identified (greedily
-    or by thresholding a LASSO solution), re-fit the nonzero coefficients
-    without the l1 shrinkage bias.
-    """
-    coeffs = np.zeros(a.shape[1])
-    if support.size == 0:
-        return coeffs
-    sub = a[:, support]
-    solution, *_ = np.linalg.lstsq(sub, y, rcond=None)
-    coeffs[support] = solution
-    return coeffs
-
-
 def omp(
     a: np.ndarray,
     y: np.ndarray,
@@ -131,17 +114,6 @@ def omp(
     if n_selected:
         _note_solve("omp", n_selected, 1, time.perf_counter() - start)
     return coeffs
-
-
-def _soft_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise soft-thresholding, the proximal operator of lam*||.||_1."""
-    return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
-
-
-def _lipschitz(a: np.ndarray) -> float:
-    """Largest eigenvalue of A^T A (squared spectral norm), the gradient
-    Lipschitz constant of the LASSO smooth term."""
-    return float(np.linalg.norm(a, ord=2) ** 2)
 
 
 def ista(
@@ -246,7 +218,7 @@ def iht(
     n = a.shape[1]
     if sparsity > n:
         raise ValueError(f"sparsity ({sparsity}) exceeds dictionary size ({n})")
-    lipschitz = _lipschitz(a)
+    lipschitz = lipschitz_constant(a)
     if lipschitz == 0:
         out = np.zeros((b, n))
         return out[0] if single else out
@@ -355,11 +327,10 @@ class Reconstructor:
         else:
             lam_scale = np.max(np.abs(y2 @ a))
             lam = self.lam_rel * (lam_scale if lam_scale > 0 else 1.0)
-            solver = fista if self.method == "fista" else ista
             if self.method == "fista":
                 coeffs = fista(a, y2, lam, n_iter=self.n_iter, debias=self.debias)
             else:
-                coeffs = solver(a, y2, lam, n_iter=self.n_iter)
+                coeffs = ista(a, y2, lam, n_iter=self.n_iter)
             coeffs = np.atleast_2d(coeffs)
         frames = coeffs if self.basis is None else coeffs @ self.basis.T
         return frames[0] if single else frames

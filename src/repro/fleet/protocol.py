@@ -90,6 +90,16 @@ WORKER_MESSAGES = ("hello", "sync", "request", "heartbeat", "complete", "fail", 
 #: Messages a coordinator may send.
 COORDINATOR_MESSAGES = ("welcome", "sync_ack", "lease", "wait", "done", "ack", "error")
 
+#: Longest accepted message line in characters, newline included.  The
+#: largest message is a ``complete``: about 1 KB per point of the chunk
+#: plus the worker's telemetry delta, whose trace holds at most
+#: ``WORKER_TRACE_MAX_EVENTS`` (20,000) events of ~160 characters, 3.2 MB.
+#: The largest completion in the chaos tests is 3.8 KB, and in a traced
+#: ``sweep --scale smoke --fleet`` 13 KB.  64 Mi characters leaves room
+#: for a traced chunk of ~60,000 points while bounding what one line can
+#: make a reader buffer.
+MAX_MESSAGE_CHARS = 64 * 1024 * 1024
+
 
 class ProtocolError(RuntimeError):
     """The peer sent something that is not a valid fleet message."""
@@ -113,11 +123,20 @@ def recv_message(stream: IO[str], expect: Sequence[str] | None = None) -> dict |
 
     ``expect`` optionally restricts the acceptable ``type`` values;
     out-of-band types raise :class:`ProtocolError` (the caller decides
-    whether that kills the connection or the run).
+    whether that kills the connection or the run).  A line longer than
+    :data:`MAX_MESSAGE_CHARS` (newline included) raises
+    :class:`ProtocolError` after reading at most one character past the
+    cap, so a hostile or broken peer cannot make the reader buffer an
+    unbounded line.
     """
-    line = stream.readline()
+    cap = MAX_MESSAGE_CHARS
+    line = stream.readline(cap + 1)
     if not line:
         return None
+    if len(line) > cap:
+        # The rest of the line stays unread in the stream, which is now
+        # out of sync: the caller must drop the connection.
+        raise ProtocolError(f"message line exceeds {cap} characters: {line[:200]!r}")
     try:
         payload = json.loads(line)
     except ValueError as error:
@@ -161,7 +180,7 @@ def decode_chunk(payload: Sequence[dict]) -> list[tuple[int, DesignPoint]]:
             (int(entry["index"]), design_point_from_dict(entry["point"]))
             for entry in payload
         ]
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed chunk payload: {error}") from error
 
 

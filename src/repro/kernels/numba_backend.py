@@ -51,16 +51,19 @@ def _compiled() -> dict:
 
     @njit(fastmath=False)
     def _soft_threshold_into(candidate, thr, out):
+        # v - clip(v, -thr, thr), as the reference: NaN falls through the
+        # clip and propagates, the dead zone yields v - v = +0.0.
         b, n = candidate.shape
         for i in range(b):
             for k in range(n):
                 v = candidate[i, k]
                 if v > thr:
-                    out[i, k] = v - thr
+                    clipped = thr
                 elif v < -thr:
-                    out[i, k] = v + thr
+                    clipped = -thr
                 else:
-                    out[i, k] = 0.0
+                    clipped = v
+                out[i, k] = v - clipped
 
     @njit(fastmath=False)
     def _fista(a, y2, lam, n_iter, tol):
@@ -74,13 +77,12 @@ def _compiled() -> dict:
         step = 1.0 / lipschitz
         momentum = z.copy()
         t = 1.0
-        gram = np.dot(a.T, a)
-        ya = np.dot(y2, a)
+        a_t = np.ascontiguousarray(a.T)
         z_next = np.zeros((b, n))
         iterations = 0
         for _ in range(n_iter):
             iterations += 1
-            gradient = np.dot(momentum, gram) - ya
+            gradient = np.dot(np.dot(momentum, a_t) - y2, a)  # factored, as the reference
             _soft_threshold_into(momentum - step * gradient, lam * step, z_next)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             coef = (t - 1.0) / t_next

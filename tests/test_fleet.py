@@ -109,6 +109,41 @@ class TestProtocol:
         assert protocol.recv_message(buffer) == {"type": "request", "n": 3}
         assert protocol.recv_message(buffer) is None  # EOF
 
+    def test_recv_accepts_a_line_at_the_cap(self, monkeypatch):
+        line = '{"type":"request","pad":"' + "x" * 64 + '"}\n'
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_CHARS", len(line))
+        assert protocol.recv_message(io.StringIO(line))["pad"]
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_CHARS", len(line) - 1)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            protocol.recv_message(io.StringIO(line))
+
+    def test_recv_rejects_oversized_line_without_reading_it_all(self, monkeypatch):
+        """A socket-like reader stops near the cap, not at the newline."""
+
+        class CountingRaw(io.RawIOBase):
+            def __init__(self, size):
+                self.left = size
+                self.served = 0
+
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                n = min(len(buffer), self.left)
+                buffer[:n] = b"x" * n
+                self.left -= n
+                self.served += n
+                return n
+
+        line_size = 8 * 1024 * 1024
+        raw = CountingRaw(line_size)
+        reader = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="\n")
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_CHARS", 4096)
+        with pytest.raises(ProtocolError, match="exceeds 4096 characters"):
+            protocol.recv_message(reader)
+        assert raw.served <= 4096 + 64 * 1024  # the cap plus read-ahead
+        assert raw.left > line_size // 2
+
     def test_recv_rejects_junk_and_unexpected_types(self):
         with pytest.raises(ProtocolError, match="undecodable"):
             protocol.recv_message(io.StringIO("not json\n"))
@@ -122,6 +157,11 @@ class TestProtocol:
     def test_malformed_chunk_and_rows_raise(self):
         with pytest.raises(ProtocolError, match="malformed chunk"):
             protocol.decode_chunk([{"index": 0}])
+        # A non-numeric index raises ValueError inside int(); it must
+        # surface as a protocol error, not leak out of the worker loop.
+        entry = protocol.encode_chunk(points(1))[0]
+        with pytest.raises(ProtocolError, match="malformed chunk"):
+            protocol.decode_chunk([{**entry, "index": "x"}])
         with pytest.raises(ProtocolError, match="malformed result rows"):
             protocol.decode_rows([{"index": 0, "elapsed_s": 0.0}])
 

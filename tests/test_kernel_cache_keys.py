@@ -105,6 +105,29 @@ class TestEvaluationCacheIsolation:
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+class TestReferenceRevision:
+    """The fingerprint carries the reference kernels' arithmetic revision.
+
+    Revision 2 (factored FISTA gradient) moved solver outputs by
+    round-off, so evaluations cached under revision 1 must miss: served
+    next to fresh ones, a cached run and an uncached run would no longer
+    be byte-identical.
+    """
+
+    def test_entry_cached_by_previous_revision_is_not_served(
+        self, tmp_path, evaluator, monkeypatch
+    ):
+        cache = EvaluationCache(tmp_path)
+        point = DesignPoint()
+        stale = Evaluation(point=point, metrics={"snr_db": 12.0}, breakdown={}, error=None)
+        with monkeypatch.context() as patch:
+            patch.setattr(numpy_backend, "REVISION", numpy_backend.REVISION - 1)
+            cache.put(evaluator_fingerprint(evaluator), point, stale)
+            assert cache.get(evaluator_fingerprint(evaluator), point) is not None
+        assert cache.get(evaluator_fingerprint(evaluator), point) is None
+        assert len(list(tmp_path.glob("*.json"))) == 1  # still on disk, never served
+
+
 class TestReconstructorDictionaryCache:
     """Regression: the content-keyed A = Phi @ Psi cache is per-backend."""
 

@@ -12,6 +12,7 @@ from repro.cs.reconstruction import (
     least_squares_on_support,
     omp,
 )
+from repro.kernels import numpy_backend
 
 
 def sparse_problem(m=32, n=128, k=5, seed=0, noise=0.0):
@@ -147,6 +148,73 @@ class TestFista:
         a, _, y, _ = sparse_problem()
         with pytest.raises(ValueError):
             fista(a, y, lam=0.0)
+
+
+def gram_form_fista(a, y2, lam, n_iter, tol):
+    """Revision-1 reference FISTA: gradient ``momentum @ (A^T A) - y A``."""
+    b, n = y2.shape[0], a.shape[1]
+    step = 1.0 / float(np.linalg.norm(a, ord=2) ** 2)
+    z = np.zeros((b, n))
+    momentum = z.copy()
+    t = 1.0
+    gram = a.T @ a
+    ya = y2 @ a
+    iterations = 0
+    for _ in range(n_iter):
+        iterations += 1
+        candidate = momentum - step * (momentum @ gram - ya)
+        z_next = np.sign(candidate) * np.maximum(np.abs(candidate) - lam * step, 0.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        momentum = z_next + ((t - 1.0) / t_next) * (z_next - z)
+        delta = np.max(np.abs(z_next - z))
+        z = z_next
+        t = t_next
+        if delta <= tol:
+            break
+    return z, iterations
+
+
+class TestFactoredFistaKernel:
+    """The reference kernel's factored gradient against the Gram form."""
+
+    def test_matches_gram_form_at_a_smoke_sweep_shape(self):
+        # The Fig. 7 smoke solve shape: 192 frames of N=384 at M=75, a
+        # DCT basis, 120 iterations, lam_rel as the explorer sets it.
+        rng = np.random.default_rng(2022)
+        n, m, frames = 384, 75, 192
+        phi = srbm_balanced(m, n, seed=4).phi
+        a = phi @ dct_basis(n)
+        x = np.cumsum(rng.normal(size=(frames, n)), axis=1) * 1e-6
+        y2 = x @ phi.T
+        lam = 0.002 * np.max(np.abs(y2 @ a))
+        new, new_iters = numpy_backend.fista(a, y2, lam, 120, 1e-9)
+        old, old_iters = gram_form_fista(a, y2, lam, 120, 1e-9)
+        assert new_iters == old_iters == 120
+        scale = np.max(np.abs(old))
+        assert scale > 0
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_clip_soft_threshold_equals_sign_max(self):
+        thr = 0.25
+        v = np.array(
+            [0.0, -0.0, thr, -thr, 0.1, -0.1, 0.3, -0.3, 1e300, -1e300,
+             np.nextafter(thr, 1.0), -np.nextafter(thr, 1.0),
+             np.nan, -np.nan, np.inf, -np.inf]
+        )
+        clipped = numpy_backend._soft_threshold(v, thr)
+        sign_max = np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+        np.testing.assert_array_equal(np.isnan(clipped), np.isnan(sign_max))
+        not_nan = ~np.isnan(sign_max)
+        np.testing.assert_array_equal(clipped[not_nan], sign_max[not_nan])
+        # Bit for bit wherever the result is not zero.  A zero may
+        # differ only in its sign: sign * max gives -0.0 for a negative
+        # input in the dead zone, the clip form +0.0.  No later value
+        # depends on that sign (x + -0.0 == x + 0.0 for every x != 0).
+        nonzero = not_nan & (sign_max != 0)
+        np.testing.assert_array_equal(
+            clipped[nonzero].view(np.uint64), sign_max[nonzero].view(np.uint64)
+        )
+        assert not np.any(np.signbit(clipped[not_nan & (sign_max == 0)]))
 
 
 class TestReconstructor:
